@@ -17,24 +17,20 @@ and re-replicates before serving new requests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
-from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
-from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable, resolve_leases
+from repro.bft.batching import BatchConfig
+from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     Append,
     AppendAck,
-    ClientRequest,
     CommitNotice,
     LeaderElect,
     LeaderElectAck,
     Proposal,
     proposal_digest,
-    proposal_keys,
-    requests_of,
 )
 from repro.bft.replica import BaseReplica, GroupContext
-from repro.sim.timers import Timeout
 from repro.soc.chip import is_corrupted
 
 
@@ -84,17 +80,9 @@ class CftReplica(BaseReplica):
         self._acks: Dict[int, set] = {}
         self._next_seq = 0
         self._committed_seq = 0
-        self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
         self._elect_votes: Dict[int, Dict[str, LeaderElectAck]] = {}
         self._elect_sent: set = set()
-        self._election_timer = None
-        batching = resolve_batching(self.config.batching)
-        if batching is not None:
-            self.batcher = BatchAccumulator(self, batching, self._append_proposal)
-        leases = resolve_leases(self.config.leases)
-        if leases is not None:
-            self.lease_table = LeaseTable(self, leases)
-            self.lease_manager = LeaseManager(self, leases)
+        self._init_ordering(self.config.election_timeout, self._on_election_timeout)
 
     # ``view`` (BaseReplica) is used as the term so primary_of() works.
 
@@ -104,41 +92,12 @@ class CftReplica(BaseReplica):
         return self.group.f + 1
 
     # ------------------------------------------------------------------
-    # Timer plumbing
-    # ------------------------------------------------------------------
-    def _ensure_timer(self) -> Timeout:
-        if self._election_timer is None:
-            self._election_timer = Timeout(
-                self.sim, self.config.election_timeout, self._on_election_timeout
-            )
-        return self._election_timer
-
-    def _note_pending(self, request: ClientRequest) -> None:
-        if request.key() in self._pending_requests or self.already_executed(request):
-            return
-        self._pending_requests[request.key()] = request
-        timer = self._ensure_timer()
-        if not timer.armed:
-            timer.start()
-
-    def _note_executed(self, request: ClientRequest) -> None:
-        self._pending_requests.pop(request.key(), None)
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()
-        else:
-            timer.cancel()
-
-    # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
         if is_corrupted(message):
             return
         if self.handle_common(sender, message):
-            return
-        if isinstance(message, ClientRequest):
-            self._handle_request(sender, message)
             return
         if sender not in self.group.members:
             return
@@ -156,40 +115,10 @@ class CftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Normal case
     # ------------------------------------------------------------------
-    def _handle_request(self, sender: str, request: ClientRequest) -> None:
-        if self.already_executed(request):
-            self.resend_cached_reply(request)
-            return
-        if self.is_primary:
-            if self.lease_manager is not None:
-                self._note_pending(request)  # parked writes survive failover
-                if self.lease_manager.intercept(request):
-                    return
-            self._admit_ordered(request)
-        else:
-            self.send(self.primary, request, request.wire_size())
-            self._note_pending(request)
+    def _uncommitted_proposals(self) -> Iterator[Proposal]:
+        return (e.request for e in self._log.values() if e.seq > self._committed_seq)
 
-    def _admit_ordered(self, request: ClientRequest) -> None:
-        if self.batcher is not None:
-            if self._already_replicating(request) or request.key() in self.batcher.pending_keys:
-                return
-            self.batcher.add(request)
-        else:
-            self._append(request)
-
-    def _already_replicating(self, request: ClientRequest) -> bool:
-        return any(
-            e.seq > self._committed_seq and request.key() in proposal_keys(e.request)
-            for e in self._log.values()
-        )
-
-    def _append(self, request: ClientRequest) -> None:
-        if self._already_replicating(request):
-            return
-        self._append_proposal(request)
-
-    def _append_proposal(self, proposal: Proposal) -> bool:
+    def _order_proposal(self, proposal: Proposal) -> bool:
         """Replicate one proposal (a bare request, or a RequestBatch)."""
         if not self.is_primary:
             return False  # demoted while the batch was queued
@@ -199,8 +128,7 @@ class CftReplica(BaseReplica):
         entry = _LogEntry(self.view, seq, dig, proposal)
         self._log[seq] = entry
         self._acks[seq] = {self.name}
-        for request in requests_of(proposal):
-            self._note_pending(request)
+        self._note_pending(proposal)
         message = Append(self.view, seq, proposal, self.name)
         self.broadcast(self.other_members(), message, message.wire_size())
         return True
@@ -209,14 +137,13 @@ class CftReplica(BaseReplica):
         if message.term < self.view:
             return
         if message.term > self.view:
-            self._adopt_term(message.term)
+            self._enter_era(message.term, self._elect_votes)
         if sender != self.primary:
             return
         dig = proposal_digest(message.request)
         self._log[message.seq] = _LogEntry(message.term, message.seq, dig, message.request)
         self._next_seq = max(self._next_seq, message.seq)
-        for request in requests_of(message.request):
-            self._note_pending(request)
+        self._note_pending(message.request)
         ack = AppendAck(message.term, message.seq, self.name)
         self.send(sender, ack, ack.wire_size())
 
@@ -243,8 +170,7 @@ class CftReplica(BaseReplica):
                 break  # hole: wait for the missing append
             self._committed_seq = next_seq
             self.commit_operation(entry.seq, entry.digest, entry.request)
-            for request in requests_of(entry.request):
-                self._note_executed(request)
+            self._note_executed(entry.request)
 
     # ------------------------------------------------------------------
     # Leader failover
@@ -300,7 +226,7 @@ class CftReplica(BaseReplica):
             self._become_leader(message.term)
 
     def _become_leader(self, term: int) -> None:
-        self._adopt_term(term)
+        self._enter_era(term, self._elect_votes)
         # Re-replicate everything above the committed point, then pending.
         for seq in sorted(self._log):
             if seq > self._committed_seq:
@@ -308,34 +234,7 @@ class CftReplica(BaseReplica):
                 self._acks[seq] = {self.name}
                 message = Append(term, seq, entry.request, self.name)
                 self.broadcast(self.other_members(), message, message.wire_size())
-        for request in list(self._pending_requests.values()):
-            if self.already_executed(request):
-                continue
-            if self.lease_manager is not None and self.lease_manager.intercept(request):
-                continue  # held by the new-term quiesce; released later
-            self._admit_ordered(request)
-        if self.batcher is not None:
-            self.batcher.flush()
-
-    def _adopt_term(self, term: int) -> None:
-        self.view = term
-        if self.batcher is not None:
-            # Term changed: in-flight accounting is stale; pending
-            # requests re-enter via re-batching or client retransmission.
-            self.batcher.reset()
-        if self.lease_manager is not None:
-            # Old-term grants and revocations are void; quiesce writes for
-            # one lease duration so leftover holders drain safely.
-            self.lease_manager.on_view_entered(term)
-        if self.lease_table is not None:
-            self.lease_table.clear()  # grants are term-tagged anyway; hygiene
-        for stale in [t for t in self._elect_votes if t <= term]:
-            del self._elect_votes[stale]
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()
-        else:
-            timer.cancel()
+        self._repropose_pending()
 
     # ------------------------------------------------------------------
     @property
@@ -350,10 +249,8 @@ class CftReplica(BaseReplica):
     def reset_protocol_state(self) -> None:
         self._log = {s: e for s, e in self._log.items() if s <= self._committed_seq}
         self._acks.clear()
-        self._pending_requests.clear()
         self._elect_votes.clear()
         self._elect_sent.clear()
         self._committed_seq = max(self._committed_seq, self.last_executed)
         self._next_seq = max(self._next_seq, self._committed_seq)
-        if self._election_timer is not None:
-            self._election_timer.cancel()
+        super().reset_protocol_state()

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
-from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable, resolve_leases
+from repro.bft.batching import BatchConfig
+from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     ClientRequest,
     Heartbeat,
@@ -71,13 +71,7 @@ class PassiveReplica(BaseReplica):
         self._heartbeat_timer: Optional[PeriodicTimer] = None
         self._detector: Optional[Timeout] = None
         self.promotions = 0
-        batching = resolve_batching(self.config.batching)
-        if batching is not None:
-            self.batcher = BatchAccumulator(self, batching, self._commit_proposal)
-        leases = resolve_leases(self.config.leases)
-        if leases is not None:
-            self.lease_table = LeaseTable(self, leases)
-            self.lease_manager = LeaseManager(self, leases)
+        self._init_ordering()
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -106,9 +100,7 @@ class PassiveReplica(BaseReplica):
             return
         if self.handle_common(sender, message):
             return
-        if isinstance(message, ClientRequest):
-            self._handle_request(sender, message)
-        elif isinstance(message, StateUpdate):
+        if isinstance(message, StateUpdate):
             self._handle_state_update(sender, message)
         elif isinstance(message, StateAck):
             pass  # acks are informational in this model
@@ -130,15 +122,7 @@ class PassiveReplica(BaseReplica):
             return
         self._admit_ordered(request)
 
-    def _admit_ordered(self, request: ClientRequest) -> None:
-        if self.batcher is not None:
-            if request.key() in self.batcher.pending_keys:
-                return
-            self.batcher.add(request)
-            return
-        self._commit_proposal(request)
-
-    def _commit_proposal(self, proposal: Proposal) -> bool:
+    def _order_proposal(self, proposal: Proposal) -> bool:
         """Execute one proposal and ship one StateUpdate covering it."""
         if self.role != "primary":
             return False  # demoted/never promoted while the batch waited
@@ -186,12 +170,9 @@ class PassiveReplica(BaseReplica):
         self.view = self.group.members.index(self.name)
         self.promotions += 1
         self.group.metrics.counter(f"{self.group.group_id}.promotions").inc()
-        if self.lease_manager is not None:
-            # Promotion is a view change: drop our held grants and quiesce
-            # writes until any lease the old primary issued has expired.
-            self.lease_manager.on_view_entered(self.view)
-        if self.lease_table is not None:
-            self.lease_table.clear()
+        # Promotion is a view change: drop our held grants and quiesce
+        # writes until any lease the old primary issued has expired.
+        self._void_era(self.view)
         self._heartbeat_timer = PeriodicTimer(
             self.sim, self.config.heartbeat_period, self._send_heartbeat
         )

@@ -28,14 +28,12 @@ Implemented here with:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, Optional, Set, Tuple
 
-from repro.bft.batching import BatchAccumulator, BatchConfig, resolve_batching
-from repro.bft.leases import LeaseConfig, LeaseManager, LeaseTable, resolve_leases
+from repro.bft.batching import BatchConfig
+from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
     Checkpoint,
-    ClientReply,
-    ClientRequest,
     Commit,
     NewView,
     PrePrepare,
@@ -43,12 +41,9 @@ from repro.bft.messages import (
     Proposal,
     ViewChange,
     proposal_digest,
-    proposal_keys,
-    requests_of,
 )
 from repro.bft.replica import BaseReplica, GroupContext
 from repro.crypto.mac import MAC_LENGTH
-from repro.sim.timers import Timeout
 from repro.soc.chip import is_corrupted
 
 
@@ -104,18 +99,9 @@ class PbftReplica(BaseReplica):
         self._next_seq = 0
         self._stable_seq = 0
         self._checkpoint_votes: Dict[Tuple[int, bytes], Set[str]] = {}
-        self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
         self._seen_digests: Dict[int, bytes] = {}  # seq -> digest once prepared
         self._view_change_votes: Dict[int, Dict[str, ViewChange]] = {}
-        self._in_view_change = False
-        self._view_timer = None  # created lazily (needs sim, i.e. placement)
-        batching = resolve_batching(self.config.batching)
-        if batching is not None:
-            self.batcher = BatchAccumulator(self, batching, self._propose_proposal)
-        leases = resolve_leases(self.config.leases)
-        if leases is not None:
-            self.lease_table = LeaseTable(self, leases)
-            self.lease_manager = LeaseManager(self, leases)
+        self._init_ordering(self.config.view_timeout, self._on_view_timeout)
 
     # ------------------------------------------------------------------
     # Quorums
@@ -147,30 +133,6 @@ class PbftReplica(BaseReplica):
         self.broadcast(recipients, message, size)
 
     # ------------------------------------------------------------------
-    # Timer plumbing
-    # ------------------------------------------------------------------
-    def _ensure_timer(self) -> Timeout:
-        if self._view_timer is None:
-            self._view_timer = Timeout(self.sim, self.config.view_timeout, self._on_view_timeout)
-        return self._view_timer
-
-    def _note_pending(self, request: ClientRequest) -> None:
-        if request.key() in self._pending_requests or self.already_executed(request):
-            return
-        self._pending_requests[request.key()] = request
-        timer = self._ensure_timer()
-        if not timer.armed:
-            timer.start()
-
-    def _note_executed(self, request: ClientRequest) -> None:
-        self._pending_requests.pop(request.key(), None)
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()  # progress: give remaining requests a fresh window
-        else:
-            timer.cancel()
-
-    # ------------------------------------------------------------------
     # Message dispatch
     # ------------------------------------------------------------------
     def on_message(self, sender: str, message: Any) -> None:
@@ -178,9 +140,6 @@ class PbftReplica(BaseReplica):
             self.group.metrics.counter(f"{self.group.group_id}.corrupt_dropped").inc()
             return
         if self.handle_common(sender, message):
-            return
-        if isinstance(message, ClientRequest):
-            self._handle_request(sender, message)
             return
         # All inter-replica traffic pays MAC verification first.
         if sender not in self.group.members:
@@ -207,46 +166,14 @@ class PbftReplica(BaseReplica):
     # ------------------------------------------------------------------
     # Normal case
     # ------------------------------------------------------------------
-    def _handle_request(self, sender: str, request: ClientRequest) -> None:
-        if self.already_executed(request):
-            self.resend_cached_reply(request)
-            return
-        if self._in_view_change:
-            self._note_pending(request)
-            return
-        if self.is_primary:
-            if self.lease_manager is not None:
-                self._note_pending(request)  # parked writes survive view changes
-                if self.lease_manager.intercept(request):
-                    return
-            self._admit_ordered(request)
-        else:
-            # Forward to the primary and start watching for progress.
-            self.send(self.primary, request, request.wire_size())
-            self._note_pending(request)
-
-    def _admit_ordered(self, request: ClientRequest) -> None:
-        if self.batcher is not None:
-            if self._already_ordering(request) or request.key() in self.batcher.pending_keys:
-                return
-            self.batcher.add(request)
-        else:
-            self._propose(request)
-
-    def _already_ordering(self, request: ClientRequest) -> bool:
-        return any(
-            slot.pre_prepare is not None
-            and not slot.committed
-            and request.key() in proposal_keys(slot.pre_prepare.request)
+    def _uncommitted_proposals(self) -> Iterator[Proposal]:
+        return (
+            slot.pre_prepare.request
             for slot in self._slots.values()
+            if slot.pre_prepare is not None and not slot.committed
         )
 
-    def _propose(self, request: ClientRequest) -> None:
-        if self._already_ordering(request):
-            return
-        self._propose_proposal(request)
-
-    def _propose_proposal(self, proposal: Proposal) -> bool:
+    def _order_proposal(self, proposal: Proposal) -> bool:
         """Order one proposal (a bare request, or a RequestBatch)."""
         if self._in_view_change or not self.is_primary:
             return False  # demoted while the batch was queued
@@ -258,8 +185,7 @@ class PbftReplica(BaseReplica):
         message = PrePrepare(self.view, seq, dig, proposal)
         slot = self._slot(self.view, seq)
         slot.pre_prepare = message
-        for request in requests_of(proposal):
-            self._note_pending(request)
+        self._note_pending(proposal)
         self._auth_multicast(message)
         # The primary prepares implicitly via its pre-prepare.
         self._maybe_prepared(self.view, seq)
@@ -284,8 +210,7 @@ class PbftReplica(BaseReplica):
         if slot.pre_prepare is not None and slot.pre_prepare.digest != message.digest:
             return  # equivocation: keep the first binding
         slot.pre_prepare = message
-        for request in requests_of(message.request):
-            self._note_pending(request)
+        self._note_pending(message.request)
         if not slot.prepare_sent:
             slot.prepare_sent = True
             prepare = Prepare(message.view, message.seq, message.digest, self.name)
@@ -338,8 +263,7 @@ class PbftReplica(BaseReplica):
             slot.committed = True
             proposal = slot.pre_prepare.request
             self.commit_operation(seq, slot.pre_prepare.digest, proposal)
-            for request in requests_of(proposal):
-                self._note_executed(request)
+            self._note_executed(proposal)
             if seq % self.config.checkpoint_interval == 0:
                 self._emit_checkpoint(seq)
 
@@ -456,38 +380,8 @@ class PbftReplica(BaseReplica):
             self.send(self.primary, request, request.wire_size())
 
     def _enter_view(self, new_view: int) -> None:
-        self.view = new_view
-        self._in_view_change = False
         self._next_seq = max(self._next_seq, self.last_executed)
-        if self.batcher is not None:
-            # Window accounting restarts in the new view; pending requests
-            # re-enter via _repropose_pending / client retransmission.
-            self.batcher.reset()
-        if self.lease_manager is not None:
-            # Old-era grants and revocations are void; quiesce writes for
-            # one lease duration so leftover holders drain safely.
-            self.lease_manager.on_view_entered(new_view)
-        if self.lease_table is not None:
-            self.lease_table.clear()  # grants are view-tagged anyway; hygiene
-        for stale in [v for v in self._view_change_votes if v <= new_view]:
-            del self._view_change_votes[stale]
-        timer = self._ensure_timer()
-        if self._pending_requests:
-            timer.start()
-        else:
-            timer.cancel()
-
-    def _repropose_pending(self) -> None:
-        if not self.is_primary:
-            return
-        for request in list(self._pending_requests.values()):
-            if self.already_executed(request):
-                continue
-            if self.lease_manager is not None and self.lease_manager.intercept(request):
-                continue  # held by the new-view quiesce; released later
-            self._admit_ordered(request)
-        if self.batcher is not None:
-            self.batcher.flush()
+        self._enter_era(new_view, self._view_change_votes)
 
     def _find_request(self, dig: bytes) -> Optional[Proposal]:
         for slot in self._slots.values():
@@ -505,9 +399,6 @@ class PbftReplica(BaseReplica):
     def reset_protocol_state(self) -> None:
         self._slots.clear()
         self._checkpoint_votes.clear()
-        self._pending_requests.clear()
         self._view_change_votes.clear()
-        self._in_view_change = False
         self._next_seq = max(self._next_seq, self.last_executed)
-        if self._view_timer is not None:
-            self._view_timer.cancel()
+        super().reset_protocol_state()

@@ -1,11 +1,36 @@
-"""Common replica machinery shared by all protocol families."""
+"""Common replica machinery shared by all protocol families.
+
+:class:`BaseReplica` owns everything that is the same across PBFT,
+MinBFT, CFT and passive replication: in-order execution, dedup and the
+reply cache, state transfer, the read paths, and the request path that
+batching, leases and rejuvenation depend on — client-request handling,
+primary-side admission (dedup, then batch or propose), the
+pending-request timer, re-proposal after a view change, and the era
+change that voids batching and lease state when a new view, term or
+promotion begins.  A protocol supplies only what differs:
+
+* ``_order_proposal(proposal) -> bool`` — order one proposal (a bare
+  request or a :class:`~repro.bft.messages.RequestBatch`); False when it
+  cannot right now (demoted, window full);
+* ``_uncommitted_proposals()`` — the proposals it is still ordering, so
+  admission never proposes a request twice;
+* ``on_message`` for its own message types, plus the optional hooks
+  ``on_state_imported``, ``on_state_synced``, ``export_protocol_state``
+  / ``import_protocol_state`` and ``reset_protocol_state``.
+
+Protocols call :meth:`BaseReplica._init_ordering` last in ``__init__``
+(with their timeout and its callback, if they watch pending requests),
+and :meth:`BaseReplica._enter_era` when a new view or term begins.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.bft.app import StateMachine
+from repro.bft.batching import BatchAccumulator, resolve_batching
+from repro.bft.leases import LeaseManager, LeaseTable, resolve_leases
 from repro.bft.messages import (
     ClientReply,
     ClientRequest,
@@ -16,12 +41,14 @@ from repro.bft.messages import (
     ReadNack,
     StateRequest,
     StateResponse,
+    proposal_keys,
     requests_of,
 )
 from repro.bft.safety import SafetyRecorder
 from repro.crypto.mac import digest as payload_digest
 from repro.crypto.keys import KeyStore
 from repro.metrics import MetricsRegistry
+from repro.sim.timers import Timeout
 from repro.soc.node import Node, NodeState
 
 
@@ -130,12 +157,13 @@ class GroupContext:
 
 
 class BaseReplica(Node):
-    """Base class: in-order execution, reply cache, safety reporting.
+    """Base class: request path, in-order execution, reply cache, safety.
 
-    Subclasses implement the ordering protocol and call
-    :meth:`commit_operation` once an operation is committed at a sequence
-    number; this class handles ordered execution, deduplication, client
-    replies, and the safety recorder.
+    Subclasses implement the ordering protocol (see the module docstring
+    for the hooks) and call :meth:`commit_operation` once an operation is
+    committed at a sequence number; this class handles admission, the
+    pending-request timer, era changes, ordered execution,
+    deduplication, client replies, and the safety recorder.
     """
 
     # Subclasses override: how many matching replies a client must collect.
@@ -159,13 +187,40 @@ class BaseReplica(Node):
         self.syncing = False
         self.commits = 0
         self.state_syncs = 0
-        # Installed by protocols that enable batching (primary side).
+        # Installed by _init_ordering when the config enables batching
+        # (primary side).
         self.batcher = None
-        # Installed by protocols that enable leases (repro.bft.leases):
-        # every replica gets both — any member can hold leases or become
-        # primary.  None when leases are off (exactness contract).
+        # Installed by _init_ordering when the config enables leases
+        # (repro.bft.leases): every replica gets both — any member can
+        # hold leases or become primary.  None when leases are off
+        # (exactness contract).
         self.lease_table = None
         self.lease_manager = None
+        # Client requests this replica waits to see executed, watched by
+        # the pending timer (created lazily: it needs sim, i.e. placement).
+        self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
+        self._in_view_change = False
+        self._pending_timer: Optional[Timeout] = None
+        self._pending_timeout = 0.0
+        self._on_pending_timeout: Optional[Callable[[], None]] = None
+
+    def _init_ordering(
+        self, timeout: float = 0.0, on_timeout: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Install the batcher and leases ``self.config`` asks for.
+
+        ``on_timeout`` fires when requests stay pending ``timeout`` long
+        (the protocol's view-change or election trigger).
+        """
+        batching = resolve_batching(self.config.batching)
+        if batching is not None:
+            self.batcher = BatchAccumulator(self, batching, self._order_proposal)
+        leases = resolve_leases(self.config.leases)
+        if leases is not None:
+            self.lease_table = LeaseTable(self, leases)
+            self.lease_manager = LeaseManager(self, leases)
+        self._pending_timeout = timeout
+        self._on_pending_timeout = on_timeout
 
     # ------------------------------------------------------------------
     @property
@@ -191,14 +246,119 @@ class BaseReplica(Node):
         if self.lease_manager is not None:
             self.lease_manager.start()
 
+    # ------------------------------------------------------------------
+    # Request path: admission, pending timer, era change
+    # ------------------------------------------------------------------
+    def _order_proposal(self, proposal: Proposal) -> bool:
+        """Protocol hook: order one proposal; False if it cannot now."""
+        raise NotImplementedError
+
+    def _uncommitted_proposals(self) -> Iterable[Proposal]:
+        """Protocol hook: proposals still being ordered (dedup source)."""
+        return ()
+
+    def _handle_request(self, sender: str, request: ClientRequest) -> None:
+        if self.already_executed(request):
+            self.resend_cached_reply(request)
+            return
+        if self._in_view_change:
+            self._note_pending(request)
+            return
+        if self.is_primary:
+            if self.lease_manager is not None:
+                self._note_pending(request)  # parked writes survive view changes
+                if self.lease_manager.intercept(request):
+                    return
+            self._admit_ordered(request)
+        else:
+            # Forward to the primary and start watching for progress.
+            self.send(self.primary, request, request.wire_size())
+            self._note_pending(request)
+
     def _admit_ordered(self, request: ClientRequest) -> None:
         """Primary admission funnel: batch-or-propose one request.
 
-        Protocols route their primary-side request handling through this
-        so the lease manager can park conflicting writes and re-admit
-        them once the revocation completes.
+        Requests already being ordered are dropped.  The lease manager
+        re-admits parked writes here once their revocation completes.
         """
-        raise NotImplementedError
+        if self.batcher is not None:
+            if self._already_ordering(request) or request.key() in self.batcher.pending_keys:
+                return
+            self.batcher.add(request)
+        elif not self._already_ordering(request):
+            self._order_proposal(request)
+
+    def _already_ordering(self, request: ClientRequest) -> bool:
+        key = request.key()
+        return any(key in proposal_keys(p) for p in self._uncommitted_proposals())
+
+    def _repropose_pending(self) -> None:
+        """New primary: admit every request still pending, then flush."""
+        if not self.is_primary:
+            return
+        for request in list(self._pending_requests.values()):
+            if self.already_executed(request):
+                continue
+            if self.lease_manager is not None and self.lease_manager.intercept(request):
+                continue  # held by the new-era quiesce; released later
+            self._admit_ordered(request)
+        if self.batcher is not None:
+            self.batcher.flush()
+
+    def _ensure_timer(self) -> Timeout:
+        if self._pending_timer is None:
+            self._pending_timer = Timeout(
+                self.sim, self._pending_timeout, self._on_pending_timeout
+            )
+        return self._pending_timer
+
+    def _note_pending(self, proposal: Proposal) -> None:
+        """Watch each request of ``proposal`` until it executes."""
+        for request in requests_of(proposal):
+            if request.key() in self._pending_requests or self.already_executed(request):
+                continue
+            self._pending_requests[request.key()] = request
+            timer = self._ensure_timer()
+            if not timer.armed:
+                timer.start()
+
+    def _note_executed(self, proposal: Proposal) -> None:
+        """Each request of ``proposal`` executed: stop watching it."""
+        for request in requests_of(proposal):
+            self._pending_requests.pop(request.key(), None)
+            timer = self._ensure_timer()
+            if self._pending_requests:
+                timer.start()  # progress: give remaining requests a fresh window
+            else:
+                timer.cancel()
+
+    def _void_era(self, view: int) -> None:
+        """Batching and lease state from before ``view`` is void."""
+        if self.batcher is not None:
+            # Window accounting restarts; pending requests re-enter via
+            # _repropose_pending / client retransmission.
+            self.batcher.reset()
+        if self.lease_manager is not None:
+            # Old-era grants and revocations are void; quiesce writes for
+            # one lease duration so leftover holders drain safely.
+            self.lease_manager.on_view_entered(view)
+        if self.lease_table is not None:
+            self.lease_table.clear()  # grants are view-tagged anyway; hygiene
+
+    def _enter_era(self, view: int, *vote_maps: Dict[int, Any]) -> None:
+        """A new view or term begins: void old-era state, drop the votes
+        in ``vote_maps`` for views up to ``view``, re-arm the timer."""
+        self.view = view
+        self._in_view_change = False
+        self._void_era(view)
+        for votes in vote_maps:
+            for stale in [v for v in votes if v <= view]:
+                del votes[stale]
+        timer = self._ensure_timer()
+        if self._pending_requests:
+            timer.start()
+        else:
+            timer.cancel()
 
     # ------------------------------------------------------------------
     # Execution pipeline
@@ -312,17 +472,10 @@ class BaseReplica(Node):
             s: v for s, v in self._pending_execution.items() if s > self.last_executed
         }
         self.group.safety.reset_replica(self.name, self.last_executed)
-        if self.batcher is not None:
-            # In-flight accounting is stale relative to the adopted state;
-            # pending requests survive in the protocol's pending map and
-            # re-enter through re-batching.
-            self.batcher.reset()
-        if self.lease_manager is not None:
-            # The adopted state may carry a newer view: treat it as an era
-            # change — grants from before the transfer are untrustworthy.
-            self.lease_manager.on_view_entered(self.view)
-        if self.lease_table is not None:
-            self.lease_table.clear()
+        # The adopted state may carry a newer view: treat it as an era
+        # change — in-flight accounting and grants from before the
+        # transfer are untrustworthy.
+        self._void_era(self.view)
         if state.get("protocol_tag") == type(self).__name__:
             self.import_protocol_state(state.get("protocol_extra", {}))
         self.on_state_imported()
@@ -378,7 +531,11 @@ class BaseReplica(Node):
             self.sim.call_soon(self.request_state_sync)
 
     def reset_protocol_state(self) -> None:
-        """Subclass hook: drop in-flight protocol bookkeeping."""
+        """Drop in-flight protocol bookkeeping; subclasses extend it."""
+        self._pending_requests.clear()
+        self._in_view_change = False
+        if self._pending_timer is not None:
+            self._pending_timer.cancel()
 
     # ------------------------------------------------------------------
     # State synchronisation (catch-up after downtime / view change)
@@ -419,8 +576,10 @@ class BaseReplica(Node):
         if isinstance(message, StateResponse):
             self._handle_state_response(sender, message)
             return True
-        if isinstance(message, ClientRequest) and message.read_only:
-            if message.lease_read:
+        if isinstance(message, ClientRequest):
+            if not message.read_only:
+                self._handle_request(sender, message)
+            elif message.lease_read:
                 self._serve_lease_read(sender, message)
             else:
                 self._serve_read(sender, message)
