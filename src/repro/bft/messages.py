@@ -108,14 +108,16 @@ class RequestBatch:
 
     A single-request batch is never put on the wire: the batching layer
     unwraps it to the bare :class:`ClientRequest`, so ``batch_size=1``
-    produces byte-identical traffic to the unbatched protocol.
+    produces byte-identical traffic to the unbatched protocol.  The empty
+    batch is the *null proposal* (:data:`NULL_PROPOSAL`) a new PBFT
+    primary orders to fill a sequence gap; it executes nothing.
     """
 
     requests: Tuple[ClientRequest, ...]
 
     def __post_init__(self) -> None:
-        if len(self.requests) < 2:
-            raise ValueError("a RequestBatch carries at least two requests")
+        if len(self.requests) == 1:
+            raise ValueError("a RequestBatch carries zero or at least two requests")
 
     def wire_size(self) -> int:
         return HEADER_BYTES + sum(r.wire_size() for r in self.requests)
@@ -130,6 +132,8 @@ class RequestBatch:
 Proposal = Any
 """What a primary orders at one sequence number: a bare
 :class:`ClientRequest` or a :class:`RequestBatch`."""
+
+NULL_PROPOSAL = RequestBatch(())
 
 
 def requests_of(proposal: Proposal) -> Tuple[ClientRequest, ...]:
@@ -325,18 +329,23 @@ class Checkpoint:
 
 @dataclass(frozen=True)
 class ViewChange:
-    """Vote to move to ``new_view``; carries the prepared-set summary."""
+    """Vote to move to ``new_view``.
+
+    ``prepared`` holds the sender's highest-view pre-prepare for every
+    sequence number above ``last_executed`` that it prepared, committed
+    or not, with the proposal itself: the new primary may hold neither.
+    """
 
     new_view: int
     last_executed: int
-    prepared: Tuple[Tuple[int, bytes], ...]  # (seq, digest) pairs
+    prepared: Tuple["PrePrepare", ...]
     replica: str
 
     def wire_size(self) -> int:
         return (
             HEADER_BYTES
             + 8
-            + len(self.prepared) * (8 + DIGEST_BYTES)
+            + sum(p.wire_size() for p in self.prepared)
             + MAC_BYTES
         )
 

@@ -16,8 +16,9 @@ Implemented here with:
 * periodic checkpointing with log truncation at 2f+1 matching
   checkpoints;
 * a view-change subprotocol: backups time-out on pending requests,
-  broadcast VIEW-CHANGE, and the next primary installs NEW-VIEW with
-  re-proposals of prepared-but-unexecuted operations;
+  broadcast VIEW-CHANGE carrying every prepared-but-unexecuted operation
+  (committed or not), and the next primary installs NEW-VIEW with
+  re-proposals of them, null proposals filling the gaps between;
 * optional request batching + pipelined agreement
   (``PbftConfig.batching``, a :class:`~repro.bft.batching.BatchConfig`):
   the primary orders a whole batch under one digest and one MAC vector
@@ -33,6 +34,7 @@ from typing import Any, Dict, Iterator, Optional, Set, Tuple
 from repro.bft.batching import BatchConfig
 from repro.bft.leases import LeaseConfig
 from repro.bft.messages import (
+    NULL_PROPOSAL,
     Checkpoint,
     Commit,
     NewView,
@@ -306,14 +308,16 @@ class PbftReplica(BaseReplica):
         if new_view <= self.view and self._in_view_change:
             return
         self._in_view_change = True
-        prepared = tuple(
-            (seq, slot.pre_prepare.digest)
-            for (view, seq), slot in sorted(self._slots.items())
-            if slot.pre_prepare is not None
-            and slot.commit_sent
-            and not slot.committed
+        # Committed-but-unexecuted slots count too: other replicas may
+        # have executed them, and this one executes them once the gap
+        # below closes.  Later (higher) views overwrite earlier ones.
+        prepared: Dict[int, PrePrepare] = {}
+        for (view, seq), slot in sorted(self._slots.items()):
+            if slot.commit_sent and seq > self.last_executed:
+                prepared[seq] = slot.pre_prepare
+        message = ViewChange(
+            new_view, self.last_executed, tuple(prepared[s] for s in sorted(prepared)), self.name
         )
-        message = ViewChange(new_view, self.last_executed, prepared, self.name)
         self._record_view_change_vote(self.name, message)
         self._auth_multicast(message)
         # If this view change stalls too, escalate further.
@@ -344,22 +348,31 @@ class PbftReplica(BaseReplica):
             self._install_view(message.new_view, votes)
 
     def _install_view(self, new_view: int, votes: Dict[str, ViewChange]) -> None:
-        # Gather re-proposals for prepared-but-unexecuted operations we
-        # still hold the request body for.
-        reproposals = []
-        seen: Set[int] = set()
+        # Re-propose every operation a voter prepared above our execution
+        # point, the highest-view binding per seq.  A seq nobody carries
+        # and no voter executed gets a null proposal, so the carried
+        # operations above it can execute; a seq some voter executed is
+        # never reassigned (we catch up on it by state transfer).
+        carried: Dict[int, PrePrepare] = {}
         for vc in votes.values():
-            for seq, dig in vc.prepared:
-                if seq in seen or seq <= self.last_executed:
-                    continue
-                body = self._find_request(dig)
-                if body is not None:
-                    seen.add(seq)
-                    reproposals.append(PrePrepare(new_view, seq, dig, body))
-        message = NewView(new_view, tuple(sorted(reproposals, key=lambda p: p.seq)), self.name)
+            for prepared in vc.prepared:
+                best = carried.get(prepared.seq)
+                if best is None or prepared.view > best.view:
+                    carried[prepared.seq] = prepared
+        executed = max(vc.last_executed for vc in votes.values())
+        top = max(carried, default=0)
+        reproposals = []
+        for seq in range(self.last_executed + 1, top + 1):
+            if seq in carried:
+                proposal = carried[seq].request
+            elif seq > executed:
+                proposal = NULL_PROPOSAL
+            else:
+                continue
+            reproposals.append(PrePrepare(new_view, seq, proposal_digest(proposal), proposal))
+        message = NewView(new_view, tuple(reproposals), self.name)
         self._enter_view(new_view)
-        if seen:
-            self._next_seq = max(self._next_seq, max(seen))
+        self._next_seq = max(self._next_seq, top, executed)
         self._auth_multicast(message)
         for reproposal in message.reproposals:
             slot = self._slot(new_view, reproposal.seq)
@@ -381,13 +394,12 @@ class PbftReplica(BaseReplica):
 
     def _enter_view(self, new_view: int) -> None:
         self._next_seq = max(self._next_seq, self.last_executed)
+        # Commits from earlier views still waiting on a gap are dropped:
+        # the new view may have reassigned their seqs (a voter that held
+        # them missed the new primary's quorum).  Those it re-proposes
+        # commit again here.
+        self._pending_execution.clear()
         self._enter_era(new_view, self._view_change_votes)
-
-    def _find_request(self, dig: bytes) -> Optional[Proposal]:
-        for slot in self._slots.values():
-            if slot.pre_prepare is not None and slot.pre_prepare.digest == dig:
-                return slot.pre_prepare.request
-        return None
 
     # ------------------------------------------------------------------
     def on_state_imported(self) -> None:

@@ -64,7 +64,7 @@ def all_messages():
         Prepare(0, 1, b"\x00" * 32, "r1"),
         Commit(0, 1, b"\x00" * 32, "r1"),
         Checkpoint(64, b"\x00" * 32, "r1"),
-        ViewChange(1, 10, ((11, b"\x00" * 32),), "r1"),
+        ViewChange(1, 10, (PrePrepare(0, 11, b"\x00" * 32, request),), "r1"),
         NewView(1, (PrePrepare(1, 11, b"\x00" * 32, request),), "r1"),
         MbPrepare(0, request, b"\x00" * 32, ui, 1),
         MbCommit(0, "r1", ui, b"\x00" * 32, ui),

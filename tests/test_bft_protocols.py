@@ -8,6 +8,10 @@ Byzantine behaviour, state sync, dedup, checkpoints).
 import pytest
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig, build_group
+from repro.bft.batching import BatchConfig
+from repro.bft.group import FAMILIES, protocol_config_for
+from repro.bft.leases import LeaseConfig
+from repro.bft.messages import ClientRequest, proposal_keys
 from repro.bft.pbft import PbftConfig, required_replicas as pbft_n
 from repro.bft.minbft import MinBftConfig, required_replicas as minbft_n
 from repro.bft.cft import required_replicas as cft_n
@@ -216,6 +220,130 @@ def test_pbft_checkpoint_truncates_log():
     for replica in group.replicas.values():
         assert replica._stable_seq >= 30
         assert all(seq > replica._stable_seq for _, seq in replica._slots)
+
+
+# ----------------------------------------------------------------------
+# The shared request path (BaseReplica): admission, pending timer, era
+# ----------------------------------------------------------------------
+BATCHING = BatchConfig(batch_size=8, batch_delay=100.0, max_inflight=4)
+
+
+# Unbatched passive executes on arrival: nothing is ever in flight.
+@pytest.mark.parametrize(
+    "protocol,batching",
+    [(p, None) for p in ("pbft", "minbft", "cft")]
+    + [(p, BATCHING) for p in ("pbft", "minbft", "cft", "passive")],
+    ids=lambda v: v if isinstance(v, str) else ("batched" if v else "unbatched"),
+)
+def test_in_flight_request_is_not_proposed_twice(protocol, batching, monkeypatch):
+    proposed = []
+    cls = FAMILIES[protocol].replica_cls
+    order = cls._order_proposal
+
+    def counting_order(self, proposal):
+        proposed.append(proposal)
+        return order(self, proposal)
+
+    monkeypatch.setattr(cls, "_order_proposal", counting_order)
+    sim, chip, group, client = build(
+        protocol, protocol_config=protocol_config_for(protocol, batching=batching)
+    )
+    for backup in group.members[1:]:
+        group.crash(backup)  # nothing commits: the proposal stays in flight
+    primary = group.replicas[group.members[0]]
+    request = ClientRequest("c0", 1, ("put", "k", "v"))
+    primary.on_message("c0", request)
+    if batching is not None:
+        primary.on_message("c0", request)  # while still pooled in the batcher
+    sim.run(until=sim.now + 2_000)
+    primary.on_message("c0", request)  # while being ordered
+    sim.run(until=sim.now + 2_000)
+    assert [request.key() in proposal_keys(p) for p in proposed] == [True]
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "minbft", "cft"])
+def test_pending_timer_armed_while_requests_pending(protocol):
+    sim, chip, group, client = build(protocol)
+    replica = group.replicas[group.members[1]]
+    first = ClientRequest("c0", 1, ("put", "a", "1"))
+    second = ClientRequest("c0", 2, ("put", "b", "2"))
+    assert replica._pending_timer is None or not replica._pending_timer.armed
+    replica._note_pending(first)
+    assert replica._pending_timer.armed
+    replica._note_pending(second)
+    replica._note_executed(first)
+    assert replica._pending_timer.armed  # second still pending
+    replica._note_executed(second)
+    assert not replica._pending_timer.armed
+    assert replica._pending_requests == {}
+
+
+VOTE_MAPS = {
+    "pbft": ["_view_change_votes"],
+    "minbft": ["_req_view_change_votes", "_view_change_votes"],
+    "cft": ["_elect_votes"],
+    "passive": [],
+}
+
+
+@pytest.mark.parametrize("protocol", ["pbft", "minbft", "cft", "passive"])
+def test_era_change_voids_batcher_leases_and_old_votes(protocol):
+    sim = Simulator(seed=1)
+    chip = Chip(sim, ChipConfig(width=5, height=5))
+    config = protocol_config_for(protocol, batching=BATCHING, leases=LeaseConfig())
+    group = build_group(
+        chip, GroupConfig(protocol=protocol, f=1, group_id=protocol, protocol_config=config)
+    )
+    replica = group.replicas[group.members[1]]
+    replica.batcher.pending_keys.add(("c0", 1))
+    replica.batcher.inflight = 2
+    replica.lease_table._grants[0] = (0, 0, 1e12)
+    votes = [getattr(replica, name) for name in VOTE_MAPS[protocol]]
+    for vote_map in votes:
+        vote_map.update({1: {}, 2: {}, 5: {}})
+    epoch = replica.lease_manager.epoch
+    if protocol in ("pbft", "minbft"):
+        replica._enter_view(2)
+    elif protocol == "cft":
+        replica._enter_era(2, replica._elect_votes)
+    else:
+        replica._on_suspect()  # promotion: the passive era change
+    assert replica.batcher.pending_keys == set() and replica.batcher.inflight == 0
+    assert len(replica.lease_table) == 0
+    assert replica.lease_manager.epoch > epoch
+    assert all(sorted(vote_map) == [5] for vote_map in votes)
+    if protocol != "passive":
+        assert replica.view == 2
+
+
+# ----------------------------------------------------------------------
+# PBFT agreement under batching + rejuvenation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pbft_batching_with_rejuvenation_keeps_agreement(seed):
+    """A primary rejuvenated mid-proposal leaves a sequence gap; the
+    replicas that committed operations above it are rejuvenated or
+    outvoted before it closes.  The next view must re-propose those
+    operations at their sequence numbers (null-filling the gap), and no
+    replica may execute a commit from an older view that the new view
+    did not re-propose."""
+    from repro.mesoscale import PopulationConfig
+    from repro.shard import ShardConfig, ShardedSystem
+    from repro.workloads import kv_workload
+
+    system = ShardedSystem(
+        ShardConfig(
+            seed=seed, n_shards=1, protocol="pbft", f=1,
+            protocol_config=protocol_config_for("pbft", batching=BATCHING),
+        )
+    )
+    workload = kv_workload(keys=64, read_ratio=0.1, rate_per_client=1e-5)
+    system.attach_population("pop", PopulationConfig(n_clients=1000, workload=workload))
+    system.start()
+    system.run(260_000)
+    group = system.shards["s0"].group
+    assert group.safety.is_safe, group.safety.violations[:2]
+    assert min(r.last_executed for r in group.replicas.values()) > 40
 
 
 # ----------------------------------------------------------------------
