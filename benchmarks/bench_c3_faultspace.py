@@ -29,21 +29,16 @@ Each run appends its numbers to ``benchmarks/BENCH_C3.json``.
 Standalone (CI smoke): ``python benchmarks/bench_c3_faultspace.py --smoke``
 """
 
-import json
 import os
 import sys
 import tempfile
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import run_once
+from trajectory import append_entry
 
 from repro.faultspace import FaultspaceConfig, SequentialCampaign, render_report
-
-TRAJECTORY = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_C3.json"
-)
 
 SMOKE_STRATA = ["node:crash", "link:link_fail", "tile:degrade"]
 SMOKE_BUDGET, SMOKE_MIN, SMOKE_ROUND, SMOKE_HW = 6, 2, 2, 0.35
@@ -106,17 +101,10 @@ def experiment(smoke=False):
 
 def record_trajectory(results):
     """Append this run's numbers to BENCH_C3.json (the C3 trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
     seq, fix = results["sequential"], results["fixed"]
-    history.append(
+    append_entry(
+        "C3",
         {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "smoke": results["smoke"],
             "sequential_trials": seq["early_stopping"]["trials_executed"],
             "fixed_trials": fix["early_stopping"]["trials_executed"],
@@ -129,9 +117,6 @@ def record_trajectory(results):
             "byte_identical": results["identical"],
         }
     )
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
 
 
 def check(results):

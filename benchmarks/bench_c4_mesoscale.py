@@ -32,12 +32,12 @@ Standalone (CI smoke): ``python benchmarks/bench_c4_mesoscale.py --smoke``
 import json
 import os
 import sys
-import time
 import tracemalloc
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import run_once
+from trajectory import append_entry
 
 from repro.mesoscale import PopulationConfig
 from repro.metrics import Table
@@ -48,10 +48,6 @@ from repro.metrics.traffic import (
 )
 from repro.shard import ShardConfig, ShardedSystem
 from repro.workloads import PoissonArrivals, kv_workload
-
-TRAJECTORY = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "BENCH_C4.json"
-)
 
 SEED = 11
 N_POPULATIONS = 2
@@ -205,17 +201,10 @@ def experiment(smoke=False):
 
 def record_trajectory(results):
     """Append this run's numbers to BENCH_C4.json (the C4 trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
     main = results["main"]
-    history.append(
+    append_entry(
+        "C4",
         {
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "smoke": results["smoke"],
             "modeled_clients": main["modeled_clients"],
             "attach_bytes": main["attach_bytes"],
@@ -228,9 +217,6 @@ def record_trajectory(results):
             "byte_identical": results["identical"],
         }
     )
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
 
 
 def check(results):

@@ -48,7 +48,6 @@ noisy) but the full deterministic assertions, and appends the measured
 numbers to ``benchmarks/BENCH_P1.json``.
 """
 
-import json
 import os
 import sys
 import tempfile
@@ -57,6 +56,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from trajectory import append_entry  # noqa: E402
 
 from repro.metrics import Table  # noqa: E402
 from repro.noc.network import NocConfig, NocNetwork  # noqa: E402
@@ -72,7 +72,6 @@ SMOKE_PACKETS = 3_000
 SMOKE_TRIALS = 2
 SMOKE_RATIO_GATE = 1.2  # sanity floor only: shared CI runners are noisy
 EVENT_FACTOR = 5  # express must use <= 1/5th the events (deterministic)
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P1.json")
 
 
 def stream_run(express, n_packets, degrade=None):
@@ -237,15 +236,7 @@ def experiment(smoke=False):
 def record_trajectory(smoke, express, baseline, faulty_express,
                       elsewhere_express, ratio, identical):
     """Append this run's numbers to BENCH_P1.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    append_entry("P1", {
         "smoke": smoke,
         "express_pkt_per_s": round(express["pkt_per_s"], 1),
         "baseline_pkt_per_s": round(baseline["pkt_per_s"], 1),
@@ -256,9 +247,6 @@ def record_trajectory(smoke, express, baseline, faulty_express,
         "speedup": round(ratio, 3),
         "byte_identical": identical,
     })
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
 
 
 def check(results):

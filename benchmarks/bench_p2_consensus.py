@@ -33,15 +33,14 @@ runs shorter horizons with the same deterministic gates and appends the
 measured numbers to ``benchmarks/BENCH_P2.json``.
 """
 
-import json
 import os
 import sys
 import tempfile
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from trajectory import append_entry  # noqa: E402
 
 from repro.bft.batching import BatchConfig  # noqa: E402
 from repro.bft.client import ClientConfig  # noqa: E402
@@ -62,7 +61,6 @@ SMOKE_DURATION = 40_000.0
 SMOKE_WARMUP = 10_000.0
 RATIO_GATE = 2.0
 SEED = 7
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P2.json")
 
 
 def service_run(protocol, batching, max_outstanding, duration, warmup):
@@ -184,15 +182,7 @@ def experiment(smoke=False):
 
 def record_trajectory(smoke, results):
     """Append this run's numbers to BENCH_P2.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
     entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "smoke": smoke,
         "byte_identical": results["identical"],
     }
@@ -203,10 +193,7 @@ def record_trajectory(smoke, results):
         entry[f"{protocol}_speedup"] = round(r["ratio"], 3)
         entry[f"{protocol}_mean_batch"] = round(r["batched"]["mean_batch"], 2)
         entry[f"{protocol}_peak_inflight"] = int(r["batched"]["peak_inflight"])
-    history.append(entry)
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
+    append_entry("P2", entry)
 
 
 def check(results):

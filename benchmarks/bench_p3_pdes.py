@@ -41,14 +41,13 @@ appends the measured numbers to ``benchmarks/BENCH_P3.json``.
 """
 
 import dataclasses
-import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from trajectory import append_entry  # noqa: E402
 
 from repro.metrics import Table  # noqa: E402
 from repro.pdes import PdesConfig, PdesCoordinator, summary_bytes  # noqa: E402
@@ -61,7 +60,6 @@ SMOKE_WARMUP = 10_000.0
 RATIO_GATE = 2.0
 SMOKE_RATIO_GATE = 1.2  # sanity floor only: shared CI runners are noisy
 MIN_CORES_FOR_GATE = 4
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P3.json")
 
 
 def base_config(smoke):
@@ -188,15 +186,7 @@ def experiment(smoke=False):
 
 def record_trajectory(results):
     """Append this run's numbers to BENCH_P3.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
-    history.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    append_entry("P3", {
         "smoke": results["smoke"],
         "cores": results["cores"],
         "serial_wall_s": round(results["serial_wall"], 3),
@@ -208,9 +198,6 @@ def record_trajectory(results):
         "remote_ops": results["totals"]["remote_out"],
         "byte_identical": all(results["identical"].values()),
     })
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
 
 
 def check(results):

@@ -37,14 +37,13 @@ Standalone (CI smoke): ``python benchmarks/bench_p4_leased_reads.py
 appends the measured numbers to ``benchmarks/BENCH_P4.json``.
 """
 
-import json
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from trajectory import append_entry  # noqa: E402
 
 from repro.bft import ClientConfig, ClientNode, GroupConfig  # noqa: E402
 from repro.bft.batching import BatchConfig  # noqa: E402
@@ -82,7 +81,6 @@ SMOKE_DURATION = 150_000.0
 RATIO_GATE = 2.0
 ORDERED_FRAC_GATE = 0.15  # ordered commits per completed op, 90% reads
 LOCAL_FRAC_GATE = 0.6  # leased-read share of all completions
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P4.json")
 
 
 def service_run(protocol, leases, duration):
@@ -282,15 +280,7 @@ def experiment(smoke=False):
 
 def record_trajectory(smoke, results):
     """Append this run's numbers to BENCH_P4.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
     entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "smoke": smoke,
         "staleness_violations": results["staleness"]["violations"],
     }
@@ -304,10 +294,7 @@ def record_trajectory(smoke, results):
         entry[f"{protocol}_reads_local"] = r["leased"]["reads_local"]
         entry[f"{protocol}_lease_fallbacks"] = r["leased"]["lease_fallbacks"]
         entry[f"{protocol}_ordered_frac"] = round(r["leased"]["ordered_frac"], 4)
-    history.append(entry)
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
+    append_entry("P4", entry)
 
 
 def check(results):

@@ -35,7 +35,6 @@ runs the same race on the fast analytic ``evolve_selftest`` landscape
 and appends the measured numbers to ``benchmarks/BENCH_P5.json``.
 """
 
-import json
 import os
 import sys
 import tempfile
@@ -44,6 +43,7 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from conftest import run_once  # noqa: E402  (also sets REPRO_TABLE_LOG)
+from trajectory import append_entry  # noqa: E402
 
 from repro.evolve import EvolutionaryCampaign, EvolveConfig  # noqa: E402
 from repro.metrics import Table  # noqa: E402
@@ -66,7 +66,6 @@ FULL = dict(
 )
 # Smoke mode: the analytic selftest landscape (sub-second trials).
 SMOKE = dict(runner="evolve_selftest", campaign_seed=13, generations=4)
-TRAJECTORY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BENCH_P5.json")
 
 
 def arm_config(name, strategy, mode):
@@ -184,15 +183,7 @@ def experiment(smoke=False):
 
 def record_trajectory(results):
     """Append this run's numbers to BENCH_P5.json (the perf trajectory)."""
-    history = []
-    if os.path.exists(TRAJECTORY):
-        try:
-            with open(TRAJECTORY, "r", encoding="utf-8") as fh:
-                history = json.load(fh)
-        except (ValueError, OSError):
-            history = []
     entry = {
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "mode": results["mode"],
         "runner": results["runner"],
         "reference_hv": round(results["reference_hv"], 5),
@@ -206,10 +197,7 @@ def record_trajectory(results):
         "early_killed": results["evolve_early_killed"],
         "repeat_identical": results["repeat_identical"],
     }
-    history.append(entry)
-    with open(TRAJECTORY, "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2)
-        fh.write("\n")
+    append_entry("P5", entry)
 
 
 def check(results):

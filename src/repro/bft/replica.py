@@ -199,6 +199,8 @@ class BaseReplica(Node):
         # Client requests this replica waits to see executed, watched by
         # the pending timer (created lazily: it needs sim, i.e. placement).
         self._pending_requests: Dict[Tuple[str, int], ClientRequest] = {}
+        # Set by view-change protocols between voting and the new view;
+        # requests arriving meanwhile only wait.
         self._in_view_change = False
         self._pending_timer: Optional[Timeout] = None
         self._pending_timeout = 0.0

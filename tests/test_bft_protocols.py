@@ -17,8 +17,11 @@ from repro.bft.minbft import MinBftConfig, required_replicas as minbft_n
 from repro.bft.cft import required_replicas as cft_n
 from repro.bft.passive import PassiveConfig, required_replicas as passive_n
 from repro.faults import make_strategy
+from repro.mesoscale import PopulationConfig
+from repro.shard import ShardConfig, ShardedSystem
 from repro.sim import Simulator
 from repro.soc import Chip, ChipConfig
+from repro.workloads import kv_workload
 
 
 def build(protocol, f=1, seed=1, width=5, height=5, client_cfg=None, protocol_config=None):
@@ -327,10 +330,6 @@ def test_pbft_batching_with_rejuvenation_keeps_agreement(seed):
     operations at their sequence numbers (null-filling the gap), and no
     replica may execute a commit from an older view that the new view
     did not re-propose."""
-    from repro.mesoscale import PopulationConfig
-    from repro.shard import ShardConfig, ShardedSystem
-    from repro.workloads import kv_workload
-
     system = ShardedSystem(
         ShardConfig(
             seed=seed, n_shards=1, protocol="pbft", f=1,
